@@ -145,11 +145,13 @@ class SGNetDataset:
 
         The shard pipeline streams every observation shard through one
         :class:`~repro.egpm.columnar.ColumnarBuilder` while the events
-        are appended here, then hands the merged store over — the next
-        :meth:`to_columnar` call returns it instead of re-transposing
-        the whole event list.  The view must cover exactly the events
-        currently stored (and must have been built with the default
-        feature sets, since that is what the cache position means).
+        are appended here, then hands the merged store over; a replayed
+        enrich stage hands back the view stored beside the dataset.
+        Either way the next :meth:`to_columnar` call returns it instead
+        of re-transposing the whole event list.  The view must cover
+        exactly the events currently stored (and must have been built
+        with the default feature sets, since that is what the cache
+        position means).
         """
         require(
             view.n_events == len(self._events),
@@ -174,8 +176,9 @@ class SGNetDataset:
 
     def __getstate__(self) -> dict:
         # The columnar view is a derived cache over numpy arrays; drop
-        # it from pickles (stage cache entries, process-pool transfers)
-        # and let it rebuild lazily on first use after load.
+        # it from generic pickles (process-pool transfers, whole-run
+        # cache entries) and let it rebuild lazily on first use after
+        # load.  The enrich stage stores it as an artifact of its own.
         state = self.__dict__.copy()
         state["_columnar"] = None
         return state

@@ -8,9 +8,13 @@ exists solely so tests and validation can score cluster quality.
 All record types here are ``slots=True`` dataclasses: at paper scale
 the dataset holds ~15k events (millions at the ROADMAP target), and
 dropping the per-instance ``__dict__`` cuts their resident size by
-roughly a third.  The analysis layer's ``Observation`` is already a
-plain tuple (:data:`repro.egpm.columnar.Observation`), so it needs no
-such treatment.
+roughly a third.  They all pickle by value
+(:func:`repro.util.records.reduce_by_value`), so a stage replay rebuilds
+each one through its ``__init__`` — validation included — instead of
+the per-object field lookup of the default slotted-dataclass state.
+The analysis layer's ``Observation`` is already a plain tuple
+(:data:`repro.egpm.columnar.Observation`), so it needs no such
+treatment.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from typing import Any, Mapping
 
 from repro.net.address import IPv4Address
 from repro.peformat.structures import PEInfo
+from repro.util.records import reduce_by_value
 from repro.util.validation import require
 
 
@@ -52,6 +57,8 @@ class ExploitObservable:
     fsm_path_id: int
     dst_port: int
 
+    __reduce__ = reduce_by_value
+
     def __post_init__(self) -> None:
         require(self.fsm_path_id >= 0, "fsm_path_id must be >= 0")
         require(0 < self.dst_port < 65536, f"bad destination port {self.dst_port}")
@@ -70,6 +77,8 @@ class PayloadObservable:
     interaction: InteractionType
     filename: str | None = None
     port: int | None = None
+
+    __reduce__ = reduce_by_value
 
     def __post_init__(self) -> None:
         require(bool(self.protocol), "protocol must be non-empty")
@@ -91,6 +100,8 @@ class MalwareObservable:
     pe: PEInfo | None
     corrupted: bool = False
 
+    __reduce__ = reduce_by_value
+
     def __post_init__(self) -> None:
         require(len(self.md5) == 32, "md5 must be a 32-hex-digit string")
         require(self.size >= 0, "size must be >= 0")
@@ -108,6 +119,8 @@ class GroundTruth:
     variant: str
     exploit_name: str
     payload_name: str
+
+    __reduce__ = reduce_by_value
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,6 +140,8 @@ class AttackEvent:
     payload: PayloadObservable | None = None
     malware: MalwareObservable | None = None
     ground_truth: GroundTruth | None = None
+
+    __reduce__ = reduce_by_value
 
     def __post_init__(self) -> None:
         require(self.event_id >= 0, "event_id must be >= 0")
@@ -161,6 +176,8 @@ class SampleRecord:
     behavior_handle: Any = None
     ground_truth: GroundTruth | None = None
     enrichment: dict[str, Any] = field(default_factory=dict)
+
+    __reduce__ = reduce_by_value
 
     def record_event(self, timestamp: int) -> None:
         """Fold one more sighting of this binary into the record."""

@@ -27,10 +27,16 @@ Each stage artifact is stored next to a JSON sidecar recording the
 exact fingerprint payload (config subset, parent fingerprints), which
 is what lets ``repro cache explain`` name the config key that
 invalidated a missing stage instead of just reporting the miss.
+
+Both stores unpickle through :func:`load_pickle`, with the cyclic
+garbage collector paused: a replay allocates ~100k records at paper
+scale and creates no cyclic garbage, so the collections those
+allocations would trigger are pure overhead.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -94,6 +100,35 @@ EXECUTION_ONLY_FIELDS = frozenset(
 
 #: Canonical-JSON reduction (shared with the run manifest's digests).
 _canonical = canonicalize
+
+#: What an unreadable entry raises while unpickling: truncated writes,
+#: artifacts pickled by an incompatible code version or an unsupported
+#: protocol, and records whose ``__post_init__`` validation rejects the
+#: stored values (a ``ValidationError`` is a ``ValueError``).
+_UNREADABLE = (
+    pickle.UnpicklingError,
+    EOFError,
+    AttributeError,
+    ImportError,
+    TypeError,
+    ValueError,
+)
+
+
+def load_pickle(path: Path) -> object:
+    """``pickle.load`` of ``path`` with the cyclic GC paused.
+
+    The collector's prior state is restored on the way out, whether the
+    load succeeds or raises.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with path.open("rb") as handle:
+            return pickle.load(handle)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _semantic_config_payload(config: ScenarioConfig | None) -> dict:
@@ -181,21 +216,21 @@ class ScenarioCache:
         """Return the cached run, or ``None`` on a miss.
 
         Unreadable entries (truncated writes, artifacts pickled by an
-        incompatible code version) are treated as misses and evicted.
+        incompatible code version or protocol, records that fail their
+        own validation) are treated as misses and evicted.
         """
         registry = obs_metrics.active()
         bus = obs_events.active_bus()
         path = self.path_for(seed, config)
         try:
-            with path.open("rb") as handle:
-                run = pickle.load(handle)
+            run = load_pickle(path)
         except FileNotFoundError:
             self.misses += 1
             registry.counter("cache.miss").inc()
             bus.emit("cache.miss", fingerprint=path.stem)
             log.debug("cache miss", extra={"path": str(path)})
             return None
-        except (pickle.UnpicklingError, EOFError, AttributeError, ImportError, TypeError):
+        except _UNREADABLE:
             path.unlink(missing_ok=True)
             self.misses += 1
             registry.counter("cache.miss").inc()
@@ -308,11 +343,10 @@ class StageStore:
         bus = obs_events.active_bus()
         path = self.path_for(stage, fingerprint)
         try:
-            with path.open("rb") as handle:
-                artifacts = pickle.load(handle)
+            artifacts = load_pickle(path)
         except FileNotFoundError:
             artifacts = None
-        except (pickle.UnpicklingError, EOFError, AttributeError, ImportError, TypeError):
+        except _UNREADABLE:
             path.unlink(missing_ok=True)
             self.meta_path_for(stage, fingerprint).unlink(missing_ok=True)
             registry.counter("cache.evict").inc()

@@ -12,7 +12,10 @@ change the stage's output:
 * ``provides`` — the context keys the stage produces (or mutates: the
   ``observe`` stage re-provides ``deployment`` because observation
   trains the sensor FSMs, and ``enrich`` re-provides ``dataset``
-  because enrichment annotates records in place).
+  because enrichment annotates records in place).  ``enrich`` also
+  provides the dataset's ``columnar`` view, stored beside it so an epm
+  recompute over a replayed enrich stage never re-transposes events;
+  its ``replay`` hook re-attaches the view to the loaded dataset.
 
 That declaration is what the incremental cache layer
 (:mod:`repro.experiments.cache`) fingerprints: a stage's content
@@ -89,6 +92,9 @@ class StageSpec:
     #: Sets descriptive span attributes from the (built or replayed)
     #: artifacts — runs on both the compute and the replay path.
     annotate: Callable[[StageContext, object], None]
+    #: Re-links replayed artifacts that are stored side by side but
+    #: must share state once loaded — runs on the replay path only.
+    replay: Callable[[StageContext], None] | None = None
 
 
 def _compute_deployment(ctx: StageContext) -> None:
@@ -145,9 +151,27 @@ def _compute_enrich(ctx: StageContext) -> None:
     virustotal = VirusTotalService()
     enrichment = EnrichmentPipeline(anubis, virustotal)
     enrichment.enrich(ctx["dataset"], executor=ctx.executor)
+    # The columnar view is built here rather than lazily in epm so it
+    # is stored with the enriched dataset: an epm recompute over a
+    # replayed enrich artifact then needs no re-transpose.  The
+    # dataset's own pickles keep dropping the view (see
+    # ``SGNetDataset.__getstate__``), so it travels as its own key.
+    columnar = ctx["dataset"].to_columnar() if ctx.config.columnar else None
     ctx.artifacts.update(
-        anubis=anubis, virustotal=virustotal, enrichment=enrichment
+        anubis=anubis,
+        virustotal=virustotal,
+        enrichment=enrichment,
+        columnar=columnar,
     )
+
+
+def _replay_enrich(ctx: StageContext) -> None:
+    # Entries stored without a view (``columnar=False`` builds, or
+    # entries written before the view was stored) fall back to the
+    # dataset's lazy rebuild.
+    view = ctx.artifacts.get("columnar")
+    if view is not None:
+        ctx["dataset"].adopt_columnar(view)
 
 
 def _annotate_enrich(ctx: StageContext, span) -> None:
@@ -225,9 +249,10 @@ STAGES: tuple[StageSpec, ...] = (
         name="enrich",
         config_keys=("sandbox",),
         parents=("catalog", "observe"),
-        provides=("dataset", "anubis", "virustotal", "enrichment"),
+        provides=("dataset", "anubis", "virustotal", "enrichment", "columnar"),
         compute=_compute_enrich,
         annotate=_annotate_enrich,
+        replay=_replay_enrich,
     ),
     StageSpec(
         name="epm",
@@ -306,6 +331,8 @@ def execute_stages(
             loaded = session.load(spec.name) if session is not None else None
             if loaded is not None:
                 ctx.artifacts.update(loaded)
+                if spec.replay is not None:
+                    spec.replay(ctx)
                 status = "hit"
             else:
                 spec.compute(ctx)

@@ -39,6 +39,7 @@ from repro.peformat.magic import magic_type
 from repro.peformat.parser import parse_pe
 from repro.peformat.structures import PEFormatError
 from repro.util.hashing import md5_hex
+from repro.util.records import reduce_by_value
 from repro.util.rng import RandomSource
 from repro.util.timegrid import WEEK_SECONDS
 from repro.util.validation import require
@@ -65,6 +66,8 @@ class StagedObservation:
     behavior: object
     payload: PayloadObservable | None
     malware: MalwareObservable | None
+
+    __reduce__ = reduce_by_value
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,19 @@ identity or wall-clock state.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from enum import Enum
 from typing import Mapping
+
+
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...] | None:
+    """Field names of dataclass type ``cls``; ``None`` for other types."""
+    if not dataclasses.is_dataclass(cls):
+        return None
+    return tuple(f.name for f in dataclasses.fields(cls))
 
 
 def canonicalize(value: object) -> object:
@@ -25,14 +34,22 @@ def canonicalize(value: object) -> object:
     become ``{"__enum__": name, "value": ...}``, mappings are key-sorted,
     sets are element-sorted; anything unrecognised falls back to
     ``repr``.
+
+    Exact ``str``/``int``/``float``/``bool``/``None`` values and plain
+    lists and tuples take a fast path ahead of the general checks;
+    subclasses (str-valued enums, ``IPv4Address``) do not, so they
+    reduce exactly as before.
     """
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+    cls = type(value)
+    if cls is str or cls is int or cls is float or cls is bool or value is None:
+        return value
+    if cls is list or cls is tuple:
+        return [canonicalize(v) for v in value]
+    names = _field_names(cls)
+    if names is not None:
         return {
-            "__type__": type(value).__name__,
-            **{
-                f.name: canonicalize(getattr(value, f.name))
-                for f in dataclasses.fields(value)
-            },
+            "__type__": cls.__name__,
+            **{name: canonicalize(getattr(value, name)) for name in names},
         }
     if isinstance(value, Enum):
         return {"__enum__": type(value).__name__, "value": canonicalize(value.value)}

@@ -1,5 +1,6 @@
 """The scenario artifact cache: fingerprints, round-trips, eviction."""
 
+import pickle
 import time
 
 import pytest
@@ -11,6 +12,8 @@ from repro.experiments.cache import (
 )
 from repro.experiments.scenario import PaperScenario, ScenarioConfig
 from repro.honeypot.deployment import DeploymentConfig
+from repro.obs import metrics as obs_metrics
+from repro.obs.metrics import MetricsRegistry
 from repro.sandbox.execution import SandboxConfig
 
 TINY = ScenarioConfig(
@@ -117,14 +120,35 @@ class TestScenarioCache:
         assert not path.exists()
 
     def test_non_scenario_pickle_is_evicted(self, tmp_path, built):
-        import pickle
-
         cache = ScenarioCache(tmp_path)
         path = cache.path_for(11, TINY)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(pickle.dumps({"not": "a run"}))
         assert cache.load(11, TINY) is None
         assert not path.exists()
+
+    @pytest.mark.parametrize("damage", ["protocol-9", "short-md5"])
+    def test_unloadable_entry_is_evicted_and_rebuilt(self, tmp_path, built, damage):
+        # A pickle protocol this interpreter does not know, and a record
+        # whose __post_init__ rejects the stored values on load, both
+        # raise ValueError: each must read as a miss, not a crash.
+        cache = ScenarioCache(tmp_path)
+        path = cache.store(built)
+        if damage == "protocol-9":
+            path.write_bytes(b"\x80\x09" + path.read_bytes()[2:])
+        else:
+            forged = pickle.loads(path.read_bytes())
+            event = next(e for e in forged.dataset.events if e.malware is not None)
+            object.__setattr__(event.malware, "md5", event.malware.md5[:31])
+            path.write_bytes(pickle.dumps(forged))
+        registry = MetricsRegistry()
+        with obs_metrics.use(registry):
+            assert cache.load(11, TINY) is None
+        assert not path.exists()
+        assert registry.snapshot().counter("cache.evict") == 1
+        rebuilt = cache.get_or_run(PaperScenario(seed=11, config=TINY))
+        assert rebuilt.manifest.artifact_digests == built.manifest.artifact_digests
+        assert path.exists()
 
     def test_clear_removes_entries(self, tmp_path, built):
         cache = ScenarioCache(tmp_path)

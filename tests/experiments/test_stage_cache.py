@@ -14,9 +14,11 @@ apart unnoticed.
 import pickle
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.core.invariants import InvariantPolicy
+from repro.egpm.columnar import ColumnarBuilder, events_to_columnar
 from repro.experiments.cache import (
     CACHE_FORMAT,
     StageStore,
@@ -175,6 +177,78 @@ class TestInvalidationMatrix:
         assert partial.headline() == scratch.headline()
 
 
+def _assert_same_view(view, expected) -> None:
+    """Two columnar stores agree array for array and code for code."""
+    for name in ("event_ids", "timestamps", "sources", "sensors", "source_codes", "sensor_codes"):
+        np.testing.assert_array_equal(getattr(view, name), getattr(expected, name))
+    assert view.source_vocab.values() == expected.source_vocab.values()
+    assert view.sensor_vocab.values() == expected.sensor_vocab.values()
+    assert list(view.dimensions) == list(expected.dimensions)
+    for dimension, columns in view.dimensions.items():
+        other = expected.dimensions[dimension]
+        assert columns.feature_names == other.feature_names
+        for name in ("event_ids", "sources", "sensors", "source_codes", "sensor_codes", "codes"):
+            np.testing.assert_array_equal(getattr(columns, name), getattr(other, name))
+        vocabularies = [v.values() for v in columns.vocabularies]
+        assert vocabularies == [v.values() for v in other.vocabularies]
+
+
+class TestColumnarReplay:
+    """The enrich artifact carries the columnar view, so an epm
+    recompute over a replayed enrich stage never re-transposes."""
+
+    EPM_ONLY = _variant(invariant_policy=InvariantPolicy(min_instances=6))
+
+    @pytest.fixture(scope="class")
+    def store(self, tmp_path_factory):
+        store = StageStore(tmp_path_factory.mktemp("columnar-stages"))
+        PaperScenario(seed=SEED, config=BASE).run(stage_store=store)
+        return store
+
+    @pytest.fixture(scope="class")
+    def expected(self):
+        return PaperScenario(seed=SEED, config=self.EPM_ONLY).run().manifest.artifact_digests
+
+    @pytest.fixture
+    def add_event_calls(self, monkeypatch):
+        calls = []
+        original = ColumnarBuilder.add_event
+
+        def counting(builder, event):
+            calls.append(event.event_id)
+            return original(builder, event)
+
+        monkeypatch.setattr(ColumnarBuilder, "add_event", counting)
+        return calls
+
+    def test_epm_recompute_makes_no_transpose(self, store, expected, add_event_calls):
+        run = PaperScenario(seed=SEED, config=self.EPM_ONLY).run(stage_store=store)
+        assert run.stage_cache["enrich"] == "hit"
+        assert run.stage_cache["epm"] == "miss"
+        assert add_event_calls == []
+        assert run.manifest.artifact_digests == expected
+
+    def test_replayed_view_equals_a_fresh_transpose(self, store, add_event_calls):
+        run = PaperScenario(seed=SEED, config=BASE).run(stage_store=store)
+        assert run.stage_cache["enrich"] == "hit"
+        replayed = run.dataset.to_columnar()
+        assert add_event_calls == []
+        _assert_same_view(replayed, events_to_columnar(run.dataset.events))
+
+    def test_entry_stored_without_a_view_still_replays(self, tmp_path, expected, add_event_calls):
+        store = StageStore(tmp_path)
+        PaperScenario(seed=SEED, config=BASE).run(stage_store=store)
+        path = store.path_for("enrich", stage_fingerprints(SEED, BASE)["enrich"])
+        artifacts = pickle.loads(path.read_bytes())
+        del artifacts["columnar"]
+        path.write_bytes(pickle.dumps(artifacts))
+        add_event_calls.clear()
+        run = PaperScenario(seed=SEED, config=self.EPM_ONLY).run(stage_store=store)
+        assert run.stage_cache["enrich"] == "hit"
+        assert len(add_event_calls) == len(run.dataset)
+        assert run.manifest.artifact_digests == expected
+
+
 class TestExplain:
     @pytest.fixture(scope="class")
     def store(self, tmp_path_factory):
@@ -221,6 +295,29 @@ class TestStageStore:
         path.write_bytes(b"not a pickle")
         assert store.load("deployment", fingerprints["deployment"]) is None
         assert not path.exists()
+
+    @pytest.mark.parametrize(
+        ("stage", "damage"), [("observe", "protocol-9"), ("enrich", "short-md5")]
+    )
+    def test_unloadable_artifact_is_evicted_and_recomputed(self, tmp_path, stage, damage):
+        # An unsupported pickle protocol and a record whose __post_init__
+        # rejects its stored values both raise ValueError while loading:
+        # the stage must count an eviction and recompute, not crash.
+        store = StageStore(tmp_path)
+        cold = PaperScenario(seed=SEED, config=BASE).run(stage_store=store)
+        path = store.path_for(stage, stage_fingerprints(SEED, BASE)[stage])
+        if damage == "protocol-9":
+            path.write_bytes(b"\x80\x09" + path.read_bytes()[2:])
+        else:
+            artifacts = pickle.loads(path.read_bytes())
+            event = next(e for e in artifacts["dataset"].events if e.malware is not None)
+            object.__setattr__(event.malware, "md5", event.malware.md5[:31])
+            path.write_bytes(pickle.dumps(artifacts))
+        warm = PaperScenario(seed=SEED, config=BASE).run(stage_store=store)
+        assert warm.stage_cache == {n: "miss" if n == stage else "hit" for n in STAGE_NAMES}
+        assert warm.metrics.counter("cache.evict") == 1
+        assert warm.manifest.artifact_digests == cold.manifest.artifact_digests
+        assert store.load(stage, stage_fingerprints(SEED, BASE)[stage]) is not None
 
     def test_non_dict_artifact_is_evicted(self, tmp_path):
         store = StageStore(tmp_path)
