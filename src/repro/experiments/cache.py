@@ -10,11 +10,15 @@ Two layers share one canonical-fingerprint substrate:
   Each pipeline stage (see :data:`repro.experiments.stages.STAGES`)
   gets its own fingerprint covering only the config keys it declares
   plus its parents' fingerprints, chained content-address style.  A
-  run replays every stage whose fingerprint is stored and recomputes
-  only from the first invalidated stage down: changing the LSH
-  threshold re-runs ``bcluster`` alone while the ~17-month
-  observation/enrichment artifacts replay.  The whole-run cache is the
-  degenerate all-hit case of this DAG.
+  config key may be dotted (``clustering.threshold``) to name one
+  field of a nested config.  A run replays every stage whose
+  fingerprint is stored and recomputes only from the first invalidated
+  stage down: changing the LSH threshold re-runs ``bcluster`` alone —
+  single linkage over the stored, threshold-free ``bgraph`` — while
+  the ~17-month observation/enrichment artifacts and the behaviour
+  graph replay.  Changing the LSH shape (bands, rows, MinHash seed or
+  backend, bucket guard) re-runs ``bgraph`` and ``bcluster``.  The
+  whole-run cache is the degenerate all-hit case of this DAG.
 
 Execution-only knobs (``executor``, ``jobs``, ``profile``, ``events``,
 ``progress``) are excluded from every fingerprint: all backends produce
@@ -26,17 +30,20 @@ scenario.
 Each stage artifact is stored next to a JSON sidecar recording the
 exact fingerprint payload (config subset, parent fingerprints), which
 is what lets ``repro cache explain`` name the config key that
-invalidated a missing stage instead of just reporting the miss.
+invalidated a missing stage instead of just reporting the miss, and
+what lets :meth:`StageStore.gc` drop entries keyed under an older DAG
+shape (a stage that no longer exists, or other config keys or parents
+than the stage now declares).
 
 Both stores unpickle through :func:`load_pickle`, with the cyclic
-garbage collector paused: a replay allocates ~100k records at paper
-scale and creates no cyclic garbage, so the collections those
-allocations would trigger are pure overhead.
+garbage collector paused (:func:`repro.util.gcpause.gc_paused`, which
+also spans the whole of ``PaperScenario.run``): a replay allocates
+~100k records at paper scale and creates no cyclic garbage, so the
+collections those allocations would trigger are pure overhead.
 """
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import json
 import os
@@ -46,12 +53,13 @@ from pathlib import Path
 from typing import Iterator, Mapping
 
 from repro.experiments.scenario import PaperScenario, ScenarioConfig, ScenarioRun
-from repro.experiments.stages import STAGES, StageSpec
+from repro.experiments.stages import STAGE_NAMES, STAGES, StageSpec, stage_spec
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs.log import get_logger
 from repro.util.canonical import canonicalize
 from repro.util.clock import timestamp
+from repro.util.gcpause import gc_paused
 from repro.util.validation import require
 
 log = get_logger("experiments.cache")
@@ -121,14 +129,8 @@ def load_pickle(path: Path) -> object:
     The collector's prior state is restored on the way out, whether the
     load succeeds or raises.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        with path.open("rb") as handle:
-            return pickle.load(handle)
-    finally:
-        if enabled:
-            gc.enable()
+    with gc_paused(), path.open("rb") as handle:
+        return pickle.load(handle)
 
 
 def _semantic_config_payload(config: ScenarioConfig | None) -> dict:
@@ -160,6 +162,14 @@ def scenario_fingerprint(seed: int, config: ScenarioConfig | None = None) -> str
     return _digest({"format": CACHE_FORMAT, "seed": seed, "config": payload})
 
 
+def _config_value(config_payload: Mapping, key: str) -> object:
+    """The canonical value at ``key``; a dotted key walks nested configs."""
+    value: object = config_payload
+    for part in key.split("."):
+        value = value.get(part) if isinstance(value, Mapping) else None
+    return value
+
+
 def _stage_payload(
     spec: StageSpec, seed: int, config_payload: Mapping, fingerprints: Mapping[str, str]
 ) -> dict:
@@ -168,9 +178,22 @@ def _stage_payload(
         "format": CACHE_FORMAT,
         "stage": spec.name,
         "seed": seed,
-        "config": {key: config_payload.get(key) for key in spec.config_keys},
+        "config": {key: _config_value(config_payload, key) for key in spec.config_keys},
         "parents": {parent: fingerprints[parent] for parent in spec.parents},
     }
+
+
+def _same_shape(spec: StageSpec, meta: Mapping) -> bool:
+    """Whether a sidecar records the config keys and parents ``spec`` declares.
+
+    False for an entry keyed before the DAG changed shape: no run can
+    request its fingerprint again.  A sidecar that records no
+    ``config`` or ``parents`` at all is not judged on that part.
+    """
+    config, parents = meta.get("config"), meta.get("parents")
+    if isinstance(config, Mapping) and set(config) != set(spec.config_keys):
+        return False
+    return not (isinstance(parents, Mapping) and set(parents) != set(spec.parents))
 
 
 def stage_fingerprints(
@@ -433,9 +456,12 @@ class StageStore:
 
         Stale means: leftover temp files from interrupted writes,
         artifacts without a sidecar (or sidecars without an artifact),
-        and entries whose sidecar records a cache format other than the
-        current :data:`CACHE_FORMAT` (their fingerprints can never be
-        requested again).  With ``clear=True`` everything goes.
+        everything under a directory that names no current pipeline
+        stage, and entries whose sidecar records a cache format other
+        than the current :data:`CACHE_FORMAT` or config keys / parents
+        other than the stage's current declaration (their fingerprints
+        can never be requested again).  With ``clear=True`` everything
+        goes.
         """
         removed = 0
         reclaimed = 0
@@ -462,7 +488,12 @@ class StageStore:
                 if not stale and meta_path is not None:
                     try:
                         meta = json.loads(meta_path.read_text(encoding="utf-8"))
-                        stale = meta.get("format") != CACHE_FORMAT
+                        stale = (
+                            not isinstance(meta, dict)
+                            or meta.get("format") != CACHE_FORMAT
+                            or stage_dir.name not in STAGE_NAMES
+                            or not _same_shape(stage_spec(stage_dir.name), meta)
+                        )
                     except (json.JSONDecodeError, OSError):
                         stale = True
                 if stale:
@@ -509,7 +540,7 @@ class StageCacheSession:
 
     def save(self, stage: str, artifacts: Mapping) -> Path:
         """Store ``stage``'s artifacts under this run's fingerprint."""
-        spec = next(s for s in STAGES if s.name == stage)
+        spec = stage_spec(stage)
         meta = {
             **_stage_payload(spec, self.seed, self._config_payload, self.fingerprints),
             "fingerprint": self.fingerprints[stage],
@@ -591,6 +622,8 @@ def explain_stages(
         best: dict | None = None
         best_diffs: list[str] | None = None
         for meta in store.metas(spec.name):
+            if not _same_shape(spec, meta):
+                continue  # keyed before the DAG changed shape; gc drops it
             diffs = _config_diffs(meta.get("config", {}), wanted["config"])
             if meta.get("seed") != seed:
                 diffs.append(f"seed {meta.get('seed')!r} -> {seed!r}")

@@ -8,8 +8,9 @@ and checks each run's cache dispositions against the expected matrix:
 * **warm** — identical ``(seed, config)``, every stage must replay
   (``hit``) and the artifact digests must match the cold run
   byte-for-byte;
-* **perturbed** — only ``clustering`` changed, so exactly the stages
-  downstream of ``bcluster`` may recompute; a partially-warm run that
+* **perturbed** — only ``clustering.threshold`` changed, so exactly
+  the stages downstream of ``bcluster`` may recompute (the
+  threshold-free ``bgraph`` replays); a partially-warm run that
   recomputes a stage it should have replayed **fails the gate** (the
   incremental engine silently lost its value), as does one that
   replays a stage it should have recomputed (stale artifacts).
@@ -38,9 +39,9 @@ from typing import Mapping, Sequence
 
 from repro.experiments.stages import STAGE_NAMES, downstream_of
 
-#: The perturbation scenario's label in the expected matrix — the
-#: config key whose change must invalidate ``bcluster`` and nothing
-#: else.
+#: The perturbation scenario's label in the expected matrix: the
+#: clustering config, of which only the threshold changes — which must
+#: invalidate ``bcluster`` and nothing else.
 PERTURB_KEY = "clustering"
 
 

@@ -37,6 +37,7 @@ from repro.obs.windows import WindowReport, build_window_report
 from repro.sandbox.anubis import AnubisService
 from repro.sandbox.clustering import BehaviorClustering, ClusteringConfig
 from repro.sandbox.execution import SandboxConfig
+from repro.util.gcpause import gc_paused
 from repro.util.parallel import BACKENDS, get_executor
 from repro.util.rng import RandomSource
 from repro.util.timegrid import WEEK_SECONDS, TimeGrid
@@ -203,7 +204,17 @@ class PaperScenario:
         the caller already activated a metrics registry, counters
         accumulate there; otherwise the run records into its own fresh
         registry.
+
+        The build runs with the cyclic GC paused (its prior state is
+        restored afterwards, also when the build raises): a build
+        allocates hundreds of thousands of long-lived records and
+        creates almost no cyclic garbage, so collections during it
+        would scan a growing heap and free nothing.
         """
+        with gc_paused():
+            return self._run(stage_store)
+
+    def _run(self, stage_store: "StageStore | None") -> ScenarioRun:
         # Deferred import: cache imports this module at top level.
         from repro.experiments.cache import (
             StageCacheSession,

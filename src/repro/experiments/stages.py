@@ -1,13 +1,17 @@
 """The per-stage artifact DAG of the paper pipeline.
 
 The end-to-end scenario is a fixed topological order of expensive
-stages (deployment → catalog → observe → enrich → epm / bcluster).
-Each :class:`StageSpec` declares, explicitly, everything that can
-change the stage's output:
+stages (deployment → catalog → observe → enrich → epm, and enrich →
+bgraph → bcluster).  Each :class:`StageSpec` declares, explicitly,
+everything that can change the stage's output:
 
 * ``config_keys`` — the :class:`~repro.experiments.scenario.ScenarioConfig`
   fields the stage reads (plus the master seed, which every stage
-  depends on through its named RNG substream);
+  depends on through its named RNG substream).  A dotted key names one
+  field of a nested config: B-clustering is split at the threshold, so
+  ``bgraph`` reads the LSH shape (``clustering.bands``, ``.rows``,
+  ``.minhash_seed``, ``.minhash_backend``, ``.max_bucket_size``) and
+  ``bcluster`` reads ``clustering.threshold`` alone;
 * ``parents`` — the upstream stages whose artifacts it consumes;
 * ``provides`` — the context keys the stage produces (or mutates: the
   ``observe`` stage re-provides ``deployment`` because observation
@@ -16,16 +20,20 @@ change the stage's output:
   provides the dataset's ``columnar`` view, stored beside it so an epm
   recompute over a replayed enrich stage never re-transposes events;
   its ``replay`` hook re-attaches the view to the loaded dataset.
+  ``bgraph`` provides the threshold-free behaviour graph (unique
+  profiles, LSH candidate pairs and their exact Jaccard similarities)
+  that ``bcluster`` cuts by single linkage.
 
 That declaration is what the incremental cache layer
 (:mod:`repro.experiments.cache`) fingerprints: a stage's content
 address covers its config subset and its parents' fingerprints, so a
-changed LSH threshold re-keys ``bcluster`` alone while
-``deployment``/``catalog``/``observe``/``enrich``/``epm`` replay from
-the stage store.  :func:`execute_stages` is the runner both the cold
-and the incremental paths share — replay and recompute are the same
-loop, so cold, warm and partially-warm runs produce bit-identical
-artifacts by construction (the determinism matrix in
+changed LSH threshold re-keys ``bcluster`` alone — a threshold sweep
+point re-runs only union-find over the stored graph — while
+``deployment``/``catalog``/``observe``/``enrich``/``epm``/``bgraph``
+replay from the stage store.  :func:`execute_stages` is the runner
+both the cold and the incremental paths share — replay and recompute
+are the same loop, so cold, warm and partially-warm runs produce
+bit-identical artifacts by construction (the determinism matrix in
 ``tests/experiments/test_stage_cache.py`` enforces it).
 """
 
@@ -81,7 +89,8 @@ class StageSpec:
     """One node of the pipeline DAG: dependencies in, artifacts out."""
 
     name: str
-    #: ScenarioConfig field names this stage's output depends on.
+    #: ScenarioConfig fields this stage's output depends on; a dotted
+    #: key (``clustering.threshold``) names one field of a nested config.
     config_keys: tuple[str, ...]
     #: Upstream stages whose artifacts this stage consumes.
     parents: tuple[str, ...]
@@ -197,12 +206,23 @@ def _annotate_epm(ctx: StageContext, span) -> None:
     span.set(**ctx["epm"].counts())
 
 
-def _compute_bcluster(ctx: StageContext) -> None:
-    bclusters = ctx["anubis"].cluster(
+def _compute_bgraph(ctx: StageContext) -> None:
+    ctx.artifacts["bgraph"] = ctx["anubis"].behavior_graph(
         ctx.config.clustering,
         executor=ctx.executor,
         vectorize=ctx.config.columnar,
     )
+
+
+def _annotate_bgraph(ctx: StageContext, span) -> None:
+    span.set(
+        unique_profiles=ctx["bgraph"].n_unique,
+        candidate_pairs=ctx["bgraph"].n_pairs,
+    )
+
+
+def _compute_bcluster(ctx: StageContext) -> None:
+    bclusters = ctx["anubis"].cluster(ctx.config.clustering, graph=ctx["bgraph"])
     ctx.artifacts["bclusters"] = bclusters
     obs_events.active_bus().emit(
         "cluster.milestone", perspective="b", clusters=bclusters.n_clusters
@@ -215,6 +235,11 @@ def _annotate_bcluster(ctx: StageContext, span) -> None:
         candidate_pairs=ctx["bclusters"].n_candidate_pairs,
     )
 
+
+#: The :class:`~repro.sandbox.clustering.ClusteringConfig` fields that
+#: shape the threshold-free behaviour graph; ``threshold`` alone is
+#: left to single linkage.
+LSH_SHAPE_FIELDS = ("bands", "rows", "minhash_seed", "minhash_backend", "max_bucket_size")
 
 #: The pipeline DAG in topological order.  ``config_keys`` subsets plus
 #: the seed are exactly what each stage's cache fingerprint covers —
@@ -263,9 +288,17 @@ STAGES: tuple[StageSpec, ...] = (
         annotate=_annotate_epm,
     ),
     StageSpec(
-        name="bcluster",
-        config_keys=("clustering",),
+        name="bgraph",
+        config_keys=tuple(f"clustering.{name}" for name in LSH_SHAPE_FIELDS),
         parents=("enrich",),
+        provides=("bgraph",),
+        compute=_compute_bgraph,
+        annotate=_annotate_bgraph,
+    ),
+    StageSpec(
+        name="bcluster",
+        config_keys=("clustering.threshold",),
+        parents=("bgraph",),
         provides=("bclusters",),
         compute=_compute_bcluster,
         annotate=_annotate_bcluster,

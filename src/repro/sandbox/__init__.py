@@ -22,9 +22,12 @@ from repro.sandbox.execution import Sandbox, SandboxConfig
 from repro.sandbox.lsh import MinHasher, LSHIndex
 from repro.sandbox.clustering import (
     BehaviorClustering,
+    BehaviorGraph,
     ClusteringConfig,
+    behavior_graph,
     cluster_exact,
     cluster_lsh,
+    single_linkage,
 )
 from repro.sandbox.anubis import AnubisReport, AnubisService
 from repro.sandbox.reporting import diff_profiles, render_report, render_timeline
@@ -36,6 +39,7 @@ __all__ = [
     "AnubisReport",
     "AnubisService",
     "BehaviorClustering",
+    "BehaviorGraph",
     "BehaviorProfile",
     "ClusteringConfig",
     "Environment",
@@ -45,6 +49,8 @@ __all__ = [
     "Sandbox",
     "SandboxConfig",
     "Window",
+    "behavior_graph",
     "cluster_exact",
     "cluster_lsh",
+    "single_linkage",
 ]

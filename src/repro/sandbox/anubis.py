@@ -14,7 +14,14 @@ from typing import Iterable, Sequence
 
 from repro.malware.behaviorspec import BehaviorTemplate
 from repro.sandbox.behavior import BehaviorProfile
-from repro.sandbox.clustering import BehaviorClustering, ClusteringConfig, cluster_lsh
+from repro.sandbox.clustering import (
+    BehaviorClustering,
+    BehaviorGraph,
+    ClusteringConfig,
+    behavior_graph,
+    cluster_lsh,
+    single_linkage,
+)
 from repro.sandbox.execution import ExecutionTask, Sandbox
 from repro.util.hashing import stable_hash64
 from repro.util.parallel import Executor
@@ -135,14 +142,34 @@ class AnubisService:
         """MD5 -> current profile, for clustering."""
         return {md5: report.profile for md5, report in self._reports.items()}
 
+    def behavior_graph(
+        self,
+        config: ClusteringConfig | None = None,
+        *,
+        executor: Executor | None = None,
+        vectorize: bool = True,
+    ) -> BehaviorGraph:
+        """The threshold-free similarity graph over all analysed samples."""
+        return behavior_graph(
+            self.profiles(), config, executor=executor, vectorize=vectorize
+        )
+
     def cluster(
         self,
         config: ClusteringConfig | None = None,
         *,
         executor: Executor | None = None,
         vectorize: bool = True,
+        graph: BehaviorGraph | None = None,
     ) -> BehaviorClustering:
-        """Run the scalable B-clustering over all analysed samples."""
+        """Run the scalable B-clustering over all analysed samples.
+
+        With a ``graph`` (from :meth:`behavior_graph` under the same LSH
+        shape) only single linkage at ``config.threshold`` runs;
+        ``executor`` and ``vectorize`` then have nothing left to do.
+        """
+        if graph is not None:
+            return single_linkage(graph, (config or ClusteringConfig()).threshold)
         return cluster_lsh(
             self.profiles(), config, executor=executor, vectorize=vectorize
         )

@@ -13,6 +13,12 @@ the published system:
    components of the >=t similarity graph, computed here with
    union-find).
 
+Step 2 is split at the threshold: :func:`behavior_graph` computes the
+threshold-free part (dedupe, MinHash-LSH candidates and the exact
+similarity of every candidate pair) and :func:`single_linkage` cuts
+that graph at ``t``.  :func:`cluster_lsh` is their composition; a
+threshold sweep builds the graph once and re-runs only the linkage.
+
 :func:`cluster_exact` is the quadratic reference implementation used by
 tests and the scalability benchmark.
 """
@@ -173,14 +179,12 @@ def _dedupe(
 
 
 def _expand(
-    unique_labels: Mapping[int, int],
-    uniques: list[frozenset],
-    groups: dict[frozenset, list[str]],
+    unique_labels: Mapping[int, int], members: Sequence[Sequence[str]]
 ) -> dict[str, int]:
     assignment: dict[str, int] = {}
-    for index, features in enumerate(uniques):
+    for index, keys in enumerate(members):
         label = unique_labels[index]
-        for key in groups[features]:
+        for key in keys:
             assignment[key] = label
     return assignment
 
@@ -201,91 +205,123 @@ def cluster_exact(
             if jaccard(sets[i], sets[j]) >= config.threshold:
                 uf.union(i, j)
     labels = {i: uf.find(i) for i in range(len(uniques))}
-    assignment = _expand(labels, uniques, groups)
+    assignment = _expand(labels, [groups[features] for features in uniques])
     return BehaviorClustering.from_assignment(
         assignment, n_exact_comparisons=comparisons, n_candidate_pairs=comparisons
     )
 
 
-def _pair_similar(
-    feature_sets: Sequence[set], threshold: float, pair: tuple[int, int]
-) -> bool:
-    """Exact-Jaccard check of one candidate pair (module-level: picklable)."""
+@dataclass(frozen=True, eq=False)
+class BehaviorGraph:
+    """The threshold-free part of B-clustering: a weighted pair graph.
+
+    Nodes are the unique behaviour profiles (exact duplicates collapsed,
+    in :func:`_dedupe` order); ``members[u]`` lists the sample keys that
+    share unique profile ``u``.  Edges are the LSH candidate pairs
+    ``(left[k], right[k])``, sorted, each carrying its exact Jaccard
+    ``similarity[k]``.  Nothing here depends on the clustering
+    threshold, so one graph serves every threshold of a sweep through
+    :func:`single_linkage`.
+    """
+
+    members: tuple[tuple[str, ...], ...]
+    left: np.ndarray
+    right: np.ndarray
+    similarity: np.ndarray
+
+    @property
+    def n_unique(self) -> int:
+        """Number of unique profiles (graph nodes)."""
+        return len(self.members)
+
+    @property
+    def n_pairs(self) -> int:
+        """Number of candidate pairs (graph edges)."""
+        return len(self.similarity)
+
+
+def _pair_similarity(feature_sets: Sequence[set], pair: tuple[int, int]) -> float:
+    """Exact Jaccard of one candidate pair (module-level: picklable)."""
     i, j = pair
-    return jaccard(feature_sets[i], feature_sets[j]) >= threshold
+    return jaccard(feature_sets[i], feature_sets[j])
 
 
-def _verify_pairs_vectorized(
-    feature_sets: Sequence[set],
-    pairs: Sequence[tuple[int, int]],
-    threshold: float,
-) -> np.ndarray:
-    """Exact-Jaccard verdicts for all candidate pairs, as one bool vector.
+def _packed_feature_matrix(feature_sets: Sequence[set]) -> np.ndarray:
+    """One row per set, one bit per distinct feature, packed 8 to a byte.
 
-    Profiles are interned into a packed bit-matrix (one bit per distinct
-    feature) and intersection sizes come from ``popcount(row_i & row_j)``
-    over pair chunks.  The verdict for pair ``(i, j)`` equals
-    ``jaccard(feature_sets[i], feature_sets[j]) >= threshold`` bit for
-    bit: intersection and union are the same integers, and the float
-    division is the same IEEE-754 operation the scalar path performs.
+    Bits are set straight into the ``uint8`` matrix, in
+    :func:`numpy.packbits` order (feature code ``c`` is bit ``7 - c % 8``
+    of byte ``c // 8``), so no dense one-byte-per-feature matrix is
+    ever built.
     """
     vocabulary: dict = {}
-    rows = [
-        [vocabulary.setdefault(feature, len(vocabulary)) for feature in fs]
-        for fs in feature_sets
-    ]
-    matrix = np.zeros((len(feature_sets), max(1, len(vocabulary))), dtype=bool)
-    for i, codes in enumerate(rows):
-        matrix[i, codes] = True
-    packed = np.packbits(matrix, axis=1)
+    rows: list[int] = []
+    codes: list[int] = []
+    for i, fs in enumerate(feature_sets):
+        for feature in fs:
+            rows.append(i)
+            codes.append(vocabulary.setdefault(feature, len(vocabulary)))
+    packed = np.zeros(
+        (len(feature_sets), max(1, (len(vocabulary) + 7) // 8)), dtype=np.uint8
+    )
+    code_array = np.asarray(codes, dtype=np.intp)
+    np.bitwise_or.at(
+        packed,
+        (np.asarray(rows, dtype=np.intp), code_array >> 3),
+        (0x80 >> (code_array & 7)).astype(np.uint8),
+    )
+    return packed
+
+
+def _pair_similarities_vectorized(
+    feature_sets: Sequence[set], left: np.ndarray, right: np.ndarray
+) -> np.ndarray:
+    """Exact Jaccard similarity of every pair ``(left[k], right[k])``.
+
+    Intersection sizes come from ``popcount(row_i & row_j)`` over the
+    packed feature matrix, in chunks of 8192 pairs.  Each value equals
+    ``jaccard(feature_sets[i], feature_sets[j])`` bit for bit:
+    intersection and union are the same integers, and the float
+    division is the same IEEE-754 operation the scalar path performs.
+    """
+    packed = _packed_feature_matrix(feature_sets)
     sizes = np.array([len(fs) for fs in feature_sets], dtype=np.int64)
-    n_pairs = len(pairs)
-    ii = np.fromiter((pair[0] for pair in pairs), dtype=np.intp, count=n_pairs)
-    jj = np.fromiter((pair[1] for pair in pairs), dtype=np.intp, count=n_pairs)
-    verdicts = np.empty(n_pairs, dtype=bool)
+    n_pairs = len(left)
+    similarities = np.empty(n_pairs, dtype=np.float64)
     chunk = 8192
     for start in range(0, n_pairs, chunk):
         stop = min(start + chunk, n_pairs)
-        left, right = ii[start:stop], jj[start:stop]
-        inter = np.bitwise_count(packed[left] & packed[right]).sum(
-            axis=1, dtype=np.int64
-        )
-        union = sizes[left] + sizes[right] - inter
+        ii, jj = left[start:stop], right[start:stop]
+        inter = np.bitwise_count(packed[ii] & packed[jj]).sum(axis=1, dtype=np.int64)
+        union = sizes[ii] + sizes[jj] - inter
         # Two empty sets have Jaccard 1.0 by convention; guard the division.
         both_empty = union == 0
-        similarity = np.where(
+        similarities[start:stop] = np.where(
             both_empty, 1.0, inter / np.where(both_empty, 1, union)
         )
-        verdicts[start:stop] = similarity >= threshold
-    return verdicts
+    return similarities
 
 
-def cluster_lsh(
+def behavior_graph(
     profiles: Mapping[str, BehaviorProfile],
     config: ClusteringConfig | None = None,
     *,
     executor: Executor | None = None,
     vectorize: bool = True,
-) -> BehaviorClustering:
-    """Scalable clustering: LSH candidates + exact verification + union-find.
+) -> BehaviorGraph:
+    """Dedupe, MinHash-LSH candidates and their exact Jaccard similarities.
 
-    With ``vectorize=True`` (the default) the hot paths run as batch
-    numpy kernels: MinHash signatures come from one
-    :meth:`~repro.sandbox.lsh.MinHasher.signature_matrix` call and
-    candidate pairs are verified with packed-bit intersection counts —
-    both bit-identical to the scalar paths, so cluster assignments and
-    the ``n_exact_comparisons`` counter match the ``executor`` path
-    exactly (every candidate pair is verified).
+    Only the LSH shape of ``config`` (bands, rows, MinHash seed and
+    backend, bucket guard) is read; the threshold is applied later by
+    :func:`single_linkage`.
 
-    With ``vectorize=False`` and an ``executor`` (any backend),
-    exact-Jaccard verification of the LSH candidate pairs goes through
-    the same chunked ``executor.map`` call, so cluster assignments, the
-    comparison counter and the chunk-level ``executor.*`` telemetry are
-    all identical across serial/thread/process.  Only the scalar
-    executor-less path (``vectorize=False``, ``executor=None``) keeps
-    the legacy union-find-aware loop that skips pairs already linked
-    through earlier unions — it verifies fewer pairs, which changes the
-    counter but never the connected components.
+    With ``vectorize=True`` (the default) MinHash signatures come from
+    one :meth:`~repro.sandbox.lsh.MinHasher.signature_matrix` call and
+    similarities from packed-bit intersection counts.  With
+    ``vectorize=False`` signatures are computed one by one and every
+    similarity comes from :func:`~repro.util.stats.jaccard`, through
+    ``executor.map`` when an ``executor`` is given.  All paths yield
+    the same graph bit for bit, on every executor backend.
     """
     config = config or ClusteringConfig()
     tracer = current_tracer()
@@ -315,7 +351,7 @@ def cluster_lsh(
         else:
             for i, hashed in enumerate(hashed_sets):
                 index.add(i, hasher.signature(hashed))
-        candidates = index.candidate_pairs()
+        candidates = sorted(index.candidate_pairs())
         span.set(candidate_pairs=len(candidates))
         bucket_hist = registry.histogram(
             "lsh.bucket_size", buckets=obs_metrics.SIZE_BUCKETS
@@ -328,43 +364,73 @@ def cluster_lsh(
             bucket_hist.observe(size)
             bucket_sketch.observe(size)
         registry.counter("lsh.buckets_skipped").inc(index.skipped_buckets)
-    uf = _UnionFind(list(range(len(uniques))))
-    comparisons = 0
     with tracer.span("lsh.verify") as span:
+        left = np.array([i for i, _ in candidates], dtype=np.int32)
+        right = np.array([j for _, j in candidates], dtype=np.int32)
         if vectorize and candidates:
-            ordered = list(candidates)
-            verdicts = _verify_pairs_vectorized(
-                feature_sets, ordered, config.threshold
-            )
-            comparisons = len(candidates)
-            for (i, j), similar in zip(ordered, verdicts):
-                if similar:
-                    uf.union(i, j)
+            similarity = _pair_similarities_vectorized(feature_sets, left, right)
         elif executor is not None and candidates:
-            verdicts = executor.map(
-                partial(_pair_similar, feature_sets, config.threshold), candidates
+            similarity = np.array(
+                executor.map(partial(_pair_similarity, feature_sets), candidates),
+                dtype=np.float64,
             )
-            comparisons = len(candidates)
-            for (i, j), similar in zip(candidates, verdicts):
-                if similar:
-                    uf.union(i, j)
         else:
-            for i, j in candidates:
-                if uf.find(i) == uf.find(j):
-                    continue  # already linked; skip the exact check
-                comparisons += 1
-                if jaccard(feature_sets[i], feature_sets[j]) >= config.threshold:
-                    uf.union(i, j)
-        span.set(pairs_verified=comparisons)
-    labels = {i: uf.find(i) for i in range(len(uniques))}
-    assignment = _expand(labels, uniques, groups)
-    result = BehaviorClustering.from_assignment(
-        assignment,
-        n_exact_comparisons=comparisons,
-        n_candidate_pairs=len(candidates),
-    )
+            similarity = np.array(
+                [_pair_similarity(feature_sets, pair) for pair in candidates],
+                dtype=np.float64,
+            )
+        span.set(pairs_verified=len(candidates))
     registry.gauge("lsh.unique_profiles").set(len(uniques))
     registry.counter("lsh.candidate_pairs").inc(len(candidates))
-    registry.counter("lsh.pairs_verified").inc(comparisons)
+    return BehaviorGraph(
+        members=tuple(tuple(groups[features]) for features in uniques),
+        left=left,
+        right=right,
+        similarity=similarity,
+    )
+
+
+def single_linkage(graph: BehaviorGraph, threshold: float) -> BehaviorClustering:
+    """Connected components of ``graph``'s edges with similarity >= ``threshold``.
+
+    Single-linkage clustering cut at distance ``1 - threshold``.  Every
+    candidate pair of the graph counts as exactly verified, so
+    ``n_exact_comparisons`` equals ``n_candidate_pairs``.
+    """
+    require_probability(threshold, "threshold")
+    registry = obs_metrics.active()
+    with current_tracer().span("lsh.link") as span:
+        linked = graph.similarity >= threshold
+        uf = _UnionFind(list(range(graph.n_unique)))
+        for i, j in zip(graph.left[linked].tolist(), graph.right[linked].tolist()):
+            uf.union(i, j)
+        labels = {i: uf.find(i) for i in range(graph.n_unique)}
+        result = BehaviorClustering.from_assignment(
+            _expand(labels, graph.members),
+            n_exact_comparisons=graph.n_pairs,
+            n_candidate_pairs=graph.n_pairs,
+        )
+        span.set(threshold=threshold, pairs_linked=int(linked.sum()))
+    registry.counter("lsh.pairs_verified").inc(graph.n_pairs)
     registry.gauge("lsh.clusters").set(result.n_clusters)
     return result
+
+
+def cluster_lsh(
+    profiles: Mapping[str, BehaviorProfile],
+    config: ClusteringConfig | None = None,
+    *,
+    executor: Executor | None = None,
+    vectorize: bool = True,
+) -> BehaviorClustering:
+    """Scalable clustering: LSH candidates + exact verification + union-find.
+
+    The composition of :func:`behavior_graph` (threshold-free) and
+    :func:`single_linkage` at ``config.threshold``.  Every candidate
+    pair is verified on every path, so cluster assignments and both
+    counters are identical for ``vectorize=True``/``False`` and across
+    executor backends.
+    """
+    config = config or ClusteringConfig()
+    graph = behavior_graph(profiles, config, executor=executor, vectorize=vectorize)
+    return single_linkage(graph, config.threshold)

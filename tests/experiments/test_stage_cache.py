@@ -22,6 +22,8 @@ from repro.egpm.columnar import ColumnarBuilder, events_to_columnar
 from repro.experiments.cache import (
     CACHE_FORMAT,
     StageStore,
+    _flatten_config,
+    _semantic_config_payload,
     explain_stages,
     render_explanations,
     stage_fingerprints,
@@ -58,17 +60,17 @@ MATRIX = [
     ),
     pytest.param(
         _variant(n_weeks=12),
-        frozenset({"catalog", "observe", "enrich", "epm", "bcluster"}),
+        frozenset({"catalog", "observe", "enrich", "epm", "bgraph", "bcluster"}),
         id="n_weeks",
     ),
     pytest.param(
         _variant(scale=0.08),
-        frozenset({"catalog", "observe", "enrich", "epm", "bcluster"}),
+        frozenset({"catalog", "observe", "enrich", "epm", "bgraph", "bcluster"}),
         id="scale",
     ),
     pytest.param(
         _variant(sandbox=SandboxConfig(noise_multiplier=2.0)),
-        frozenset({"enrich", "epm", "bcluster"}),
+        frozenset({"enrich", "epm", "bgraph", "bcluster"}),
         id="sandbox",
     ),
     pytest.param(
@@ -79,7 +81,21 @@ MATRIX = [
     pytest.param(
         _variant(clustering=ClusteringConfig(threshold=0.5)),
         frozenset({"bcluster"}),
-        id="clustering",
+        id="clustering.threshold",
+    ),
+    *(
+        pytest.param(
+            _variant(clustering=ClusteringConfig(**{field: value})),
+            frozenset({"bgraph", "bcluster"}),
+            id=f"clustering.{field}",
+        )
+        for field, value in (
+            ("bands", 10),
+            ("rows", 4),
+            ("minhash_seed", 7),
+            ("minhash_backend", "numpy"),
+            ("max_bucket_size", 50),
+        )
     ),
 ]
 
@@ -122,6 +138,17 @@ class TestStageFingerprints:
             assert declaring, f"matrix row {key!r} matches no stage declaration"
             derived = frozenset().union(*(downstream_of(name) for name in declaring))
             assert derived == expected
+
+    def test_every_semantic_config_field_is_declared(self):
+        # A config field no stage declares would change artifacts
+        # without re-keying anything: stale replays.  Every leaf of the
+        # fingerprinted config must sit under some declared key.
+        declared = {key for spec in STAGES for key in spec.config_keys}
+        leaves = [path for path, _ in _flatten_config(_semantic_config_payload(BASE))]
+        for path in leaves:
+            parts = path.split(".")
+            prefixes = {".".join(parts[:k]) for k in range(1, len(parts) + 1)}
+            assert prefixes & declared, f"config field {path!r} re-keys no stage"
 
 
 class TestInvalidationMatrix:
@@ -260,7 +287,7 @@ class TestExplain:
     def test_unchanged_config_forecasts_all_hits(self, store):
         explanations = explain_stages(SEED, BASE, store)
         assert all(e.cached for e in explanations)
-        assert "6/6" in render_explanations(explanations)
+        assert "7/7" in render_explanations(explanations)
 
     def test_empty_store_blames_no_prior_artifact(self, tmp_path):
         explanations = explain_stages(SEED, BASE, StageStore(tmp_path))
@@ -274,11 +301,19 @@ class TestExplain:
         causes = by_stage["bcluster"].causes
         assert any(cause.startswith("config:clustering.threshold") for cause in causes)
 
+    def test_lsh_shape_perturbation_names_the_dotted_key(self, store):
+        perturbed = _variant(clustering=ClusteringConfig(bands=10))
+        by_stage = {e.stage: e for e in explain_stages(SEED, perturbed, store)}
+        assert {e.stage for e in by_stage.values() if not e.cached} == {"bgraph", "bcluster"}
+        assert "config:clustering.bands 20 -> 10" in by_stage["bgraph"].causes
+        assert by_stage["bcluster"].causes == ("upstream:bgraph",)
+
     def test_downstream_stage_blames_its_upstream(self, store):
         perturbed = _variant(sandbox=SandboxConfig(noise_multiplier=2.0))
         by_stage = {e.stage: e for e in explain_stages(SEED, perturbed, store)}
         assert "upstream:enrich" in by_stage["epm"].causes
-        assert "upstream:enrich" in by_stage["bcluster"].causes
+        assert "upstream:enrich" in by_stage["bgraph"].causes
+        assert "upstream:bgraph" in by_stage["bcluster"].causes
 
     def test_seed_change_blames_the_seed(self, store):
         explanations = explain_stages(SEED + 1, BASE, store)
@@ -339,6 +374,34 @@ class TestStageStore:
         assert removed == 5  # orphan, widow, tmp, stale pkl + sidecar
         assert reclaimed > 0
         assert store.load("epm", "aa" * 32) == {"epm": 1}
+
+    def test_gc_drops_entries_keyed_under_an_older_dag_shape(self, tmp_path):
+        store = StageStore(tmp_path)
+        PaperScenario(seed=SEED, config=BASE).run(stage_store=store)
+        current = store.entries()
+        fingerprints = stage_fingerprints(SEED, BASE)
+        # The pre-bgraph bcluster entry: whole clustering config as one
+        # key, parent enrich.
+        store.store(
+            "bcluster",
+            "cc" * 32,
+            {"bclusters": None},
+            {
+                "format": CACHE_FORMAT,
+                "stage": "bcluster",
+                "seed": SEED,
+                "config": {"clustering": {"threshold": 0.7}},
+                "parents": {"enrich": fingerprints["enrich"]},
+            },
+        )
+        # A stage the DAG no longer has.
+        store.store("retired", "dd" * 32, {"x": 1}, {"format": CACHE_FORMAT})
+        removed, reclaimed = store.gc()
+        assert removed == 4  # two artifacts + their sidecars
+        assert reclaimed > 0
+        assert store.entries() == current
+        warm = PaperScenario(seed=SEED, config=BASE).run(stage_store=store)
+        assert warm.stage_cache == {name: "hit" for name in STAGE_NAMES}
 
     def test_gc_clear_empties_the_store(self, tmp_path):
         store = StageStore(tmp_path)

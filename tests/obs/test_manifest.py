@@ -142,6 +142,7 @@ class TestScenarioManifest:
             "observe",
             "enrich",
             "epm",
+            "bgraph",
             "bcluster",
             "windows",
         }

@@ -8,8 +8,10 @@ from repro.sandbox.behavior import BehaviorProfile
 from repro.sandbox.clustering import (
     BehaviorClustering,
     ClusteringConfig,
+    behavior_graph,
     cluster_exact,
     cluster_lsh,
+    single_linkage,
 )
 
 
@@ -194,18 +196,19 @@ class TestClusterLshParallel:
         assert processed.clusters == serial.clusters
 
     def test_serial_executor_matches_parallel_comparison_count(self):
-        # Any explicit executor (serial included) verifies every
-        # candidate through the same chunked map call, so the
-        # comparison counter agrees across backends; only the
-        # executor-less path keeps the union-find early-skip loop.
+        # Every path verifies every candidate pair (the similarity
+        # graph needs all of them), so the comparison counter agrees
+        # across backends and with the executor-less scalar path.
         from repro.util.parallel import SerialExecutor
 
         profiles = self._profiles()
         baseline = cluster_lsh(profiles)
         explicit = cluster_lsh(profiles, executor=SerialExecutor())
-        assert explicit.assignment == baseline.assignment
+        scalar = cluster_lsh(profiles, vectorize=False)
+        assert explicit.assignment == baseline.assignment == scalar.assignment
         assert explicit.n_exact_comparisons == explicit.n_candidate_pairs
-        assert baseline.n_exact_comparisons <= explicit.n_exact_comparisons
+        assert baseline.n_exact_comparisons == explicit.n_exact_comparisons
+        assert scalar.n_exact_comparisons == explicit.n_exact_comparisons
 
 
 class TestClusterLshVectorized:
@@ -238,6 +241,7 @@ class TestClusterLshVectorized:
         vectorized = cluster_lsh(profiles)
         legacy = cluster_lsh(profiles, vectorize=False)
         assert vectorized.assignment == legacy.assignment
+        assert vectorized.n_exact_comparisons == legacy.n_exact_comparisons
 
     def test_python_backend_matches_numpy(self):
         profiles = self._profiles()
@@ -274,3 +278,55 @@ class TestClusterLshVectorized:
         unguarded = cluster_lsh(profiles)
         # Dropping oversized buckets can only reduce candidate pairs.
         assert guarded.n_exact_comparisons < unguarded.n_exact_comparisons
+
+
+class TestBehaviorGraphStages:
+    """The graph/linkage split behind the bgraph and bcluster stages."""
+
+    def _profiles(self):
+        profiles = {}
+        for tag in ("alpha", "beta"):
+            profiles.update(family_profiles(tag, 8))
+        profiles["dup"] = profiles["alpha-0"]
+        return profiles
+
+    def test_graph_metrics_and_linkage_metrics_split(self):
+        from repro.obs import metrics as obs_metrics
+        from repro.obs.metrics import MetricsRegistry
+
+        profiles = self._profiles()
+        with obs_metrics.use(MetricsRegistry()) as registry:
+            graph = behavior_graph(profiles)
+        snapshot = registry.snapshot()
+        assert snapshot.gauge("lsh.unique_profiles") == graph.n_unique == 16
+        assert snapshot.counter("lsh.candidate_pairs") == graph.n_pairs
+        assert snapshot.histograms["lsh.bucket_size"]["count"] > 0
+        assert "lsh.clusters" not in snapshot.gauges
+        with obs_metrics.use(MetricsRegistry()) as registry:
+            result = single_linkage(graph, 0.7)
+        snapshot = registry.snapshot()
+        assert snapshot.gauge("lsh.clusters") == result.n_clusters == 2
+        assert snapshot.counter("lsh.pairs_verified") == graph.n_pairs
+        assert "lsh.candidate_pairs" not in snapshot.counters
+
+    def test_duplicates_share_one_graph_node(self):
+        graph = behavior_graph(self._profiles())
+        (members,) = [keys for keys in graph.members if "dup" in keys]
+        assert set(members) == {"alpha-0", "dup"}
+
+    def test_anubis_cluster_with_a_graph_runs_linkage_only(self, monkeypatch):
+        from repro.sandbox import anubis
+
+        service = anubis.AnubisService(sandbox=None)
+        profiles = self._profiles()
+        monkeypatch.setattr(service, "profiles", lambda: profiles)
+        graph = service.behavior_graph()
+        expected = service.cluster(ClusteringConfig(threshold=0.5))
+
+        def no_graph_build(*args, **kwargs):
+            raise AssertionError("cluster() rebuilt the graph")
+
+        monkeypatch.setattr(anubis, "cluster_lsh", no_graph_build)
+        linked = service.cluster(ClusteringConfig(threshold=0.5), graph=graph)
+        assert linked.assignment == expected.assignment
+        assert linked.n_candidate_pairs == expected.n_candidate_pairs
