@@ -1310,11 +1310,73 @@ def _resolve_model_path(args: argparse.Namespace) -> Path:
     return candidate
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
-    """``repro classify``: the serving path over an exported model."""
+def _parse_event(text: str, feature_sets):
+    """One ``repro run --out`` JSON line as an event; ``ValueError``
+    with a one-line reason when it is not one, or when a feature value
+    it carries could not be classified (a JSON list is unhashable)."""
     import json
 
     from repro.egpm.events import event_from_dict
+
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as error:
+        raise ValueError(f"invalid JSON ({error})") from None
+    if not isinstance(data, dict):
+        raise ValueError("event is not a JSON object")
+    try:
+        event = event_from_dict(data)
+        for feature_set in feature_sets:
+            if feature_set.applies_to(event):
+                hash(feature_set.extract(event))
+    except KeyError as error:
+        raise ValueError(f"event is missing field {error}") from None
+    except (AttributeError, TypeError, ValueError) as error:
+        raise ValueError(f"malformed event ({error})") from None
+    return event
+
+
+def _read_classify_events(args: argparse.Namespace, feature_sets) -> list:
+    """The events ``--batch`` or ``--event`` names.
+
+    Raises ``ValueError`` carrying the whole error line:
+    ``<file>:<line>: <reason>`` for a batch, the bare reason for
+    ``--event``.
+    """
+    if args.batch:
+        try:
+            text = Path(args.batch).read_text(encoding="utf-8")
+        except (OSError, ValueError) as error:
+            raise ValueError(f"{args.batch}: cannot read ({error})") from None
+        events = []
+        for number, line in enumerate(text.splitlines(), start=1):
+            if not line.strip():
+                continue
+            try:
+                events.append(_parse_event(line, feature_sets))
+            except ValueError as error:
+                raise ValueError(f"{args.batch}:{number}: {error}") from None
+        return events
+    raw = args.event
+    if raw == "-":
+        raw = sys.stdin.read()
+    else:
+        try:
+            if Path(raw).is_file():
+                raw = Path(raw).read_text(encoding="utf-8")
+        except OSError:
+            pass  # inline JSON longer than a legal filename
+    return [_parse_event(raw, feature_sets)]
+
+
+def _cmd_classify(args: argparse.Namespace) -> int:
+    """``repro classify``: the serving path over an exported model.
+
+    Exits 1 when the model cannot be found, read or validated, and 2
+    (one ``error:`` line, no traceback) on unreadable event input.
+    """
+    import json
+
     from repro.serve.classifier import ServingClassifier
     from repro.serve.model import ModelArtifact
 
@@ -1326,8 +1388,17 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     except (FileNotFoundError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
-    model = ModelArtifact.load(model_path)
-    classifier = ServingClassifier(model)
+    try:
+        model = ModelArtifact.load(model_path)
+        classifier = ServingClassifier(model)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as error:
+        print(f"error: cannot load model {model_path}: {error}", file=sys.stderr)
+        return 1
+    try:
+        events = _read_classify_events(args, classifier.feature_sets.values())
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
     registry = MetricsRegistry()
     bus: obs_events.EventBus | obs_events.NullEventBus = obs_events.NULL_BUS
@@ -1336,26 +1407,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     try:
         with obs_metrics.use(registry), obs_events.use_bus(bus):
             if args.batch:
-                events = [
-                    event_from_dict(json.loads(line))
-                    for line in Path(args.batch).read_text(
-                        encoding="utf-8"
-                    ).splitlines()
-                    if line.strip()
-                ]
                 results = classifier.classify_events(events)
             else:
-                raw = args.event
-                if raw == "-":
-                    raw = sys.stdin.read()
-                else:
-                    try:
-                        if Path(raw).is_file():
-                            raw = Path(raw).read_text(encoding="utf-8")
-                    except OSError:
-                        pass  # inline JSON longer than a legal filename
-                event = event_from_dict(json.loads(raw))
-                events = [event]
+                (event,) = events
                 bus.emit(
                     "classify.start", model=model.model_id, events=1, mode="single"
                 )

@@ -58,8 +58,15 @@ class FeatureSet:
         names = [f.name for f in features]
         require(len(set(names)) == len(names), "duplicate feature names")
         self.dimension = dimension
-        self.features = list(features)
+        self._features = tuple(features)
+        self._extractors = tuple(f.extract for f in self._features)
         self._applies = applies
+
+    @property
+    def features(self) -> tuple[FeatureDefinition, ...]:
+        """The feature definitions, in extraction order (immutable, so
+        the precompiled extractors always match them)."""
+        return self._features
 
     @property
     def names(self) -> list[str]:
@@ -75,8 +82,8 @@ class FeatureSet:
 
     def extract(self, event: AttackEvent) -> tuple[Hashable, ...]:
         """The event's instance tuple for this dimension."""
-        require(self.applies_to(event), "event lacks this dimension")
-        return tuple(f.extract(event) for f in self.features)
+        require(self._applies(event), "event lacks this dimension")
+        return tuple([extract(event) for extract in self._extractors])
 
 
 def epsilon_features() -> FeatureSet:

@@ -16,11 +16,11 @@ O(pattern-depth) for the common shapes.
 plus at most one wildcard edge.  Every node records the minimum rank
 (position in the most-specific-first order) of any pattern in its
 subtree.  Lookup descends both the matching concrete edge and the
-wildcard edge, visiting children in ascending ``min_rank`` order and
-pruning any subtree whose ``min_rank`` cannot beat the best complete
-match found so far.  Because a leaf's ``min_rank`` *is* its pattern's
-rank, the minimum-rank reachable leaf is exactly the first match the
-linear scan would return.
+wildcard edge (an explicit stack, no recursion), visiting children in
+ascending ``min_rank`` order and pruning any subtree whose ``min_rank``
+cannot beat the best complete match found so far.  Because a leaf's
+``min_rank`` *is* its pattern's rank, the minimum-rank reachable leaf
+is exactly the first match the linear scan would return.
 
 **Batch kernel.**  :meth:`PatternIndex.batch_classify` classifies a
 columnar ``(n_rows, n_features)`` code matrix
@@ -145,10 +145,13 @@ class PatternIndex:
     def classify_rank(self, values: Sequence[Hashable]) -> int:
         """Rank of the most specific matching pattern (linear-scan order).
 
-        Branch-and-bound depth-first search: children are visited in
-        ascending subtree ``min_rank``, and a subtree is pruned as soon
-        as its best possible rank cannot beat the best complete match
-        found so far.
+        Branch-and-bound depth-first search over an explicit stack:
+        at a node with both a matching concrete edge and a wildcard
+        edge, the child with the smaller subtree ``min_rank`` is
+        descended at once and the other is pushed, and a node is pruned
+        as soon as its ``min_rank`` cannot beat the best complete match
+        found so far.  The answer is the minimum rank over reachable
+        complete leaves, which no visiting order can change.
         """
         require(
             len(values) == self._n_features,
@@ -157,30 +160,29 @@ class PatternIndex:
         )
         n_features = self._n_features
         best = len(self._patterns)
-
-        def visit(node: _TrieNode, depth: int) -> None:
-            nonlocal best
-            if node.min_rank >= best:
-                return
-            if depth == n_features:
-                best = node.min_rank
-                return
-            concrete = node.children.get(values[depth])
-            wild = node.wild
-            if concrete is not None and wild is not None:
-                first, second = (
-                    (concrete, wild)
-                    if concrete.min_rank <= wild.min_rank
-                    else (wild, concrete)
-                )
-                visit(first, depth + 1)
-                visit(second, depth + 1)
-            elif concrete is not None:
-                visit(concrete, depth + 1)
-            elif wild is not None:
-                visit(wild, depth + 1)
-
-        visit(self._root, 0)
+        stack: list[tuple[_TrieNode, int]] = [(self._root, 0)]
+        push, pop = stack.append, stack.pop
+        while stack:
+            node, depth = pop()
+            while node.min_rank < best:
+                if depth == n_features:
+                    best = node.min_rank
+                    break
+                concrete = node.children.get(values[depth])
+                wild = node.wild
+                depth += 1
+                if concrete is None:
+                    if wild is None:
+                        break
+                    node = wild
+                elif wild is None:
+                    node = concrete
+                elif concrete.min_rank <= wild.min_rank:
+                    push((wild, depth))
+                    node = concrete
+                else:
+                    push((concrete, depth))
+                    node = wild
         require(best < len(self._patterns), "no pattern matches the instance")
         return best
 

@@ -60,8 +60,10 @@ def mask_instance(values: Sequence[Hashable], invariants: InvariantStats) -> Pat
         "instance arity does not match invariant stats",
     )
     return tuple(
-        value if invariants.is_invariant(i, value) else WILDCARD
-        for i, value in enumerate(values)
+        [
+            value if value in allowed else WILDCARD
+            for value, allowed in zip(values, invariants.invariants)
+        ]
     )
 
 

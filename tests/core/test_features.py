@@ -1,6 +1,8 @@
 """Tests for Table 1 feature definitions and extraction."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.features import (
     Dimension,
@@ -11,7 +13,7 @@ from repro.core.features import (
     mu_features,
     pi_features,
 )
-from repro.util.validation import ValidationError
+from repro.util.validation import ValidationError, require
 
 from tests.egpm.test_events import make_event
 
@@ -107,3 +109,65 @@ class TestExtraction:
         for feature_set in default_feature_sets().values():
             if feature_set.applies_to(event):
                 hash(feature_set.extract(event))
+
+
+def reference_extract(feature_set, event):
+    """The per-feature generator ``FeatureSet.extract`` replaced, kept
+    as the differential oracle."""
+    require(feature_set.applies_to(event), "event lacks this dimension")
+    return tuple(f.extract(event) for f in feature_set.features)
+
+
+#: A synthetic "event": feature name -> value, plus whether it applies.
+field_values = st.one_of(
+    st.none(), st.integers(-3, 3), st.text(max_size=3),
+    st.tuples(st.text(max_size=2)),
+)
+synthetic_events = st.tuples(
+    st.dictionaries(st.sampled_from("abcdef"), field_values), st.booleans()
+)
+
+
+def synthetic_feature_set(names):
+    return FeatureSet(
+        Dimension.PI,
+        [FeatureDefinition(name, lambda e, n=name: e[0].get(n)) for name in names],
+        applies=lambda e: e[1],
+    )
+
+
+class TestExtractDifferential:
+    @given(
+        st.lists(st.sampled_from("abcdef"), min_size=1, max_size=6, unique=True),
+        st.lists(synthetic_events, max_size=20),
+    )
+    @settings(max_examples=80)
+    def test_extract_equals_reference(self, names, events):
+        feature_set = synthetic_feature_set(names)
+        assert isinstance(feature_set.features, tuple)
+        for event in events:
+            if feature_set.applies_to(event):
+                assert feature_set.extract(event) == reference_extract(
+                    feature_set, event
+                )
+            else:
+                for implementation in (feature_set.extract,
+                                       lambda e: reference_extract(feature_set, e)):
+                    with pytest.raises(ValidationError, match="lacks this dimension"):
+                        implementation(event)
+
+    def test_default_sets_equal_reference_on_landscape_events(self, small_run):
+        for feature_set in default_feature_sets().values():
+            for event in small_run.dataset.events[:400]:
+                if feature_set.applies_to(event):
+                    assert feature_set.extract(event) == reference_extract(
+                        feature_set, event
+                    )
+                else:
+                    with pytest.raises(ValidationError):
+                        feature_set.extract(event)
+
+    def test_features_cannot_be_replaced(self):
+        feature_set = epsilon_features()
+        with pytest.raises(AttributeError):
+            feature_set.features = ()

@@ -772,3 +772,73 @@ class TestServingCli:
             == 1
         )
         assert "error" in capsys.readouterr().err
+
+    def test_classify_bad_batch_lines_fail_cleanly(self, tmp_path, capsys):
+        import json
+
+        from repro.egpm.events import event_to_dict
+
+        from tests.egpm.test_events import make_event
+
+        target = self._export(tmp_path)
+        good = json.dumps(event_to_dict(make_event()))
+        missing = dict(event_to_dict(make_event()))
+        del missing["timestamp"]
+        listed = event_to_dict(make_event())
+        listed["payload"]["filename"] = ["x.exe"]
+        cases = {
+            "not json at all": "invalid JSON",
+            json.dumps(missing): "event is missing field 'timestamp'",
+            "[1, 2]": "event is not a JSON object",
+            json.dumps(listed): "malformed event (unhashable type: 'list')",
+        }
+        for bad, reason in cases.items():
+            batch = tmp_path / "batch.jsonl"
+            batch.write_text(f"{good}\n\n{bad}\n", encoding="utf-8")
+            out_file = tmp_path / "out.jsonl"
+            capsys.readouterr()
+            assert (
+                main(["classify", "--model", str(target), "--batch", str(batch),
+                      "--out", str(out_file)])
+                == 2
+            )
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1
+            assert err[0].startswith(f"error: {batch}:3: {reason}")
+            assert not out_file.exists()
+
+    def test_classify_bad_event_fails_cleanly(self, tmp_path, capsys):
+        target = self._export(tmp_path)
+        capsys.readouterr()
+        assert main(["classify", "--model", str(target), "--event", "{nope"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: invalid JSON")
+        assert main(["classify", "--model", str(target), "--event", "{}"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: event is missing field 'event_id'"]
+        missing_batch = tmp_path / "absent.jsonl"
+        assert (
+            main(["classify", "--model", str(target), "--batch", str(missing_batch)])
+            == 2
+        )
+        assert capsys.readouterr().err.startswith(f"error: {missing_batch}: ")
+
+    def test_classify_unreadable_model_fails_cleanly(self, tmp_path, capsys):
+        import json
+
+        target = self._export(tmp_path)
+        text = target.read_text(encoding="utf-8")
+        truncated = tmp_path / "truncated.json"
+        truncated.write_text(text[: len(text) // 2], encoding="utf-8")
+        payload = json.loads(text)
+        payload["model_id"] = "0" * 16
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(payload), encoding="utf-8")
+        listed = tmp_path / "listed.json"
+        listed.write_text("[]", encoding="utf-8")
+        for bad in (truncated, tampered, listed):
+            capsys.readouterr()
+            assert main(["classify", "--model", str(bad), "--event", "{}"]) == 1
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1
+            assert err[0].startswith(f"error: cannot load model {bad}: ")

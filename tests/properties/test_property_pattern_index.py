@@ -11,7 +11,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.invariants import InvariantPolicy, discover_invariants
+from repro.core.invariants import (
+    InvariantPolicy,
+    InvariantStats,
+    discover_invariants,
+)
 from repro.core.pattern_index import PatternIndex
 from repro.core.patterns import WILDCARD, PatternSet
 from repro.egpm.columnar import Vocabulary
@@ -103,3 +107,53 @@ class TestIndexedEqualsLinear:
         index = PatternIndex.compile(patterns, invariants)
         assigned = index.classify(("__x__", "__y__", "__z__"))
         assert assigned == (WILDCARD, WILDCARD, WILDCARD)
+
+
+#: Wildcard-heavy hand-built sets: most cells are wildcards, so a probe
+#: reaches many partial matches on both edges of deep nodes and the
+#: walk has to prune whole subtrees by ``min_rank`` to stay exact.
+DEEP = 8
+deep_cells = st.sampled_from([WILDCARD, WILDCARD, WILDCARD, "a", "b"])
+deep_patterns = st.dictionaries(
+    st.tuples(*[deep_cells] * DEEP), st.integers(min_value=1, max_value=5),
+    min_size=1, max_size=80,
+)
+deep_probes = st.lists(
+    st.tuples(*[st.sampled_from(["a", "b", "c"])] * DEEP), min_size=1, max_size=30
+)
+
+
+def deep_set(supports):
+    supports = dict(supports)
+    supports.setdefault(tuple([WILDCARD] * DEEP), 1)
+    invariants = InvariantStats(
+        feature_names=[f"f{i}" for i in range(DEEP)],
+        invariants=[{"a", "b"} for _ in range(DEEP)],
+        support=[{} for _ in range(DEEP)],
+    )
+    return PatternSet(supports), invariants
+
+
+class TestWildcardHeavySets:
+    @given(deep_patterns, deep_probes)
+    @settings(max_examples=80)
+    def test_trie_agrees_with_scan_under_deep_pruning(self, supports, probes):
+        patterns, invariants = deep_set(supports)
+        index = PatternIndex.compile(patterns, invariants)
+        for probe in probes:
+            assert index.classify(probe) == patterns.scan_classify(probe)
+
+    @given(deep_patterns, deep_probes)
+    @settings(max_examples=40)
+    def test_batch_agrees_with_scan_under_deep_pruning(self, supports, probes):
+        patterns, invariants = deep_set(supports)
+        index = PatternIndex.compile(patterns, invariants)
+        vocabularies = [Vocabulary() for _ in range(DEEP)]
+        codes = np.array(
+            [[v.intern(x) for v, x in zip(vocabularies, probe)] for probe in probes],
+            dtype=np.int64,
+        )
+        ranks = index.batch_classify(codes, vocabularies).tolist()
+        assert [index.pattern_of(r) for r in ranks] == [
+            patterns.scan_classify(probe) for probe in probes
+        ]

@@ -1,16 +1,19 @@
 """Hypothesis property tests for the EPM pattern lattice."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.invariants import InvariantPolicy, discover_invariants
 from repro.core.patterns import (
+    WILDCARD,
     PatternSet,
     generalizes,
     mask_instance,
     pattern_matches,
     specificity,
 )
+from repro.util.validation import ValidationError, require
 
 #: Small alphabets make value collisions (and thus invariants) common.
 values = st.sampled_from(["a", "b", "c", "d", "e", None, 0, 1])
@@ -127,3 +130,46 @@ class TestInvariantMonotonicity:
             loose_mask = mask_instance(instance, loose)
             strict_mask = mask_instance(instance, strict)
             assert generalizes(strict_mask, loose_mask)
+
+
+def reference_mask_instance(values, invariants):
+    """The per-value masking ``mask_instance`` replaced, kept as the
+    differential oracle: one ``is_invariant`` call per value."""
+    require(
+        len(values) == len(invariants.feature_names),
+        "instance arity does not match invariant stats",
+    )
+    return tuple(
+        value if invariants.is_invariant(i, value) else WILDCARD
+        for i, value in enumerate(values)
+    )
+
+
+#: Probes mixing discovered values with unseen ones and tuples.
+probe_values = st.one_of(
+    values, st.sampled_from(["zz", 99, 1.5, ("a", "b"), ()])
+)
+
+
+class TestMaskDifferential:
+    @given(instances3, st.lists(st.tuples(probe_values, probe_values, probe_values),
+                                max_size=20))
+    @settings(max_examples=80)
+    def test_mask_instance_equals_reference(self, instances, probes):
+        invariants, _ = build(instances)
+        for probe in instances + probes:
+            expected = reference_mask_instance(probe, invariants)
+            masked = mask_instance(probe, invariants)
+            assert masked == expected
+            assert [v is WILDCARD for v in masked] == [
+                v is WILDCARD for v in expected
+            ]
+
+    @given(instances3, st.integers(min_value=0, max_value=6).filter(lambda n: n != 3))
+    @settings(max_examples=30)
+    def test_arity_mismatch_raises_like_reference(self, instances, arity):
+        invariants, _ = build(instances)
+        probe = tuple("a" for _ in range(arity))
+        for implementation in (mask_instance, reference_mask_instance):
+            with pytest.raises(ValidationError, match="instance arity"):
+                implementation(probe, invariants)
